@@ -553,8 +553,8 @@ fn partition_fixture(n: usize) -> (PartitionedDetector, Vec<Vec<rrr_types::BgpUp
 }
 
 /// Times partition-parallel ingestion of one world round of BGP updates
-/// (updates only: the public feed is broadcast to every partition by
-/// design, so including it would measure replication, not scaling). The
+/// (updates only: the public feed goes to the trace home alone, the same
+/// serial work at every N, so including it would dilute the scaling). The
 /// round's window close happens untimed in the next iteration's setup,
 /// mirroring `measure_observe`; `close` moves the window close into the
 /// timed step, mirroring `measure_close`. `metrics` is installed on the

@@ -236,10 +236,20 @@ impl IngestShard {
 }
 
 /// A request to revoke previous assertions of a monitor (§4.3.2).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RevokeEvent {
     pub key: Arc<SignalKey>,
     pub traceroutes: Arc<[TracerouteId]>,
+}
+
+impl Persist for RevokeEvent {
+    fn store<W: std::io::Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
+        self.key.store(e)?;
+        self.traceroutes.store(e)
+    }
+    fn load<R: std::io::Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
+        Ok(RevokeEvent { key: Persist::load(d)?, traceroutes: Persist::load(d)? })
+    }
 }
 
 /// The §4.1 monitor set.

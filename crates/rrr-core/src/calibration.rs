@@ -267,22 +267,6 @@ impl Calibrator {
         std::mem::swap(&mut self.rng, rng);
     }
 
-    fn tpr_of(&self, probe: ProbeId, key: &Arc<SignalKey>) -> Option<f64> {
-        let s = self.stats.get(&(probe, Arc::clone(key)))?;
-        if !s.initialized(self.l) {
-            return None;
-        }
-        s.tpr()
-    }
-
-    fn tnr_of(&self, probe: ProbeId, key: &Arc<SignalKey>) -> Option<f64> {
-        let s = self.stats.get(&(probe, Arc::clone(key)))?;
-        if !s.initialized(self.l) {
-            return None;
-        }
-        s.tnr()
-    }
-
     /// Plans refreshes for this generation window (§4.3.1 steps 1–5).
     ///
     /// `asserting`: the signals currently claiming staleness, with the
@@ -291,6 +275,78 @@ impl Calibrator {
     /// fire, with the traceroutes they monitor.
     pub fn plan_refresh(
         &mut self,
+        budget: usize,
+        asserting: &[AssertingSignal],
+        quiet: &HashMap<ProbeId, Vec<Arc<SignalKey>>>,
+    ) -> RefreshPlan {
+        let (tallies, rng) = self.planner();
+        tallies.plan_refresh(rng, budget, asserting, quiet)
+    }
+
+    /// Splits the calibrator into the read-only tallies planning consults
+    /// and the random stream it draws from.
+    pub(crate) fn planner(&mut self) -> (Tallies<'_>, &mut StdRng) {
+        (Tallies { l: self.l, cells: vec![&self.stats] }, &mut self.rng)
+    }
+
+    /// A copy of the planning stream, for read-only plans that must not
+    /// advance the live one.
+    pub(crate) fn rng_copy(&self) -> StdRng {
+        self.rng.clone()
+    }
+}
+
+/// The sliding (probe, signal) tallies refresh planning reads: one
+/// calibrator's cells, or the cells of several partition calibrators
+/// summed on lookup. Summing the integer tallies of every partition's
+/// cell, with the window length taken as the longest (what
+/// [`SignalStats::merge_from`] pads to), gives exactly the rates of the
+/// cell [`Calibrator::absorb`] would materialise — without copying any
+/// partition's map.
+pub(crate) struct Tallies<'a> {
+    l: usize,
+    cells: Vec<&'a HashMap<(ProbeId, Arc<SignalKey>), SignalStats>>,
+}
+
+impl<'a> Tallies<'a> {
+    /// The tallies of several calibrators, all built with the same `l`.
+    pub(crate) fn of(cals: &[&'a Calibrator]) -> Self {
+        Tallies { l: cals[0].l, cells: cals.iter().map(|c| &c.stats).collect() }
+    }
+
+    /// Summed `[tp, fp, tn, fn]` of one (probe, signal) across every cell,
+    /// or `None` while its rates are uninitialized (§4.3.1).
+    fn sums(&self, probe: ProbeId, key: &Arc<SignalKey>) -> Option<[u32; 4]> {
+        let k = (probe, Arc::clone(key));
+        let mut total = [0u32; 4];
+        let mut window = None;
+        for cells in &self.cells {
+            if let Some(s) = cells.get(&k) {
+                window = Some(window.unwrap_or(0).max(s.window.len()));
+                for (t, v) in total.iter_mut().zip(s.sums()) {
+                    *t += v;
+                }
+            }
+        }
+        (window? >= self.l).then_some(total)
+    }
+
+    fn tpr_of(&self, probe: ProbeId, key: &Arc<SignalKey>) -> Option<f64> {
+        let [tp, _, _, fneg] = self.sums(probe, key)?;
+        let d = tp + fneg;
+        (d > 0).then(|| tp as f64 / d as f64)
+    }
+
+    fn tnr_of(&self, probe: ProbeId, key: &Arc<SignalKey>) -> Option<f64> {
+        let [_, fp, tn, _] = self.sums(probe, key)?;
+        let d = tn + fp;
+        (d > 0).then(|| tn as f64 / d as f64)
+    }
+
+    /// [`Calibrator::plan_refresh`] over these tallies, drawing from `rng`.
+    pub(crate) fn plan_refresh(
+        &self,
+        rng: &mut StdRng,
         budget: usize,
         asserting: &[AssertingSignal],
         quiet: &HashMap<ProbeId, Vec<Arc<SignalKey>>>,
@@ -335,7 +391,7 @@ impl Calibrator {
                     if chosen.contains(&tr) {
                         continue;
                     }
-                    if self.rng.gen_bool(p.clamp(0.0, 1.0)) {
+                    if rng.gen_bool(p.clamp(0.0, 1.0)) {
                         chosen.insert(tr);
                         plan.refresh.push(tr);
                     }

@@ -5,7 +5,7 @@
 use crate::bgp_monitors::{BgpMonitors, RevokeEvent};
 use crate::calibration::{Calibrator, Outcome, RefreshPlan};
 use crate::corpus::Corpus;
-use crate::ixp_monitor::IxpMonitor;
+use crate::ixp_monitor::{IxpJoin, IxpMonitor};
 use crate::signal::{SignalKey, SignalScope, StalenessSignal, Technique};
 use crate::trace_monitors::TraceMonitors;
 use rrr_anomaly::{BitmapDetector, ModifiedZScore};
@@ -118,6 +118,41 @@ impl DetectorObs {
             plan_ns: m.histogram(&labeled("rrr_detector_plan_refresh_ns", labels)),
         }
     }
+}
+
+/// The trace-derived output of one step as delivered to one corpus owner:
+/// trace and IXP signals and trace revocations. In a partitioned
+/// deployment the trace home computes it once and the coordinator routes
+/// each signal and revocation to the partitions owning the entries it
+/// names; a single detector delivers its whole output to itself.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Forwarded {
+    pub(crate) signals: Vec<StalenessSignal>,
+    pub(crate) revokes: Vec<RevokeEvent>,
+}
+
+impl Persist for Forwarded {
+    fn store<W: std::io::Write>(&self, e: &mut Encoder<W>) -> Result<(), StoreError> {
+        self.signals.store(e)?;
+        self.revokes.store(e)
+    }
+    fn load<R: std::io::Read>(d: &mut Decoder<R>) -> Result<Self, StoreError> {
+        Ok(Forwarded { signals: Persist::load(d)?, revokes: Persist::load(d)? })
+    }
+}
+
+/// What [`StalenessDetector::observe_step`] saw fire, before any
+/// assertion is applied.
+#[derive(Default)]
+pub(crate) struct Observed {
+    /// BGP signals and revocations (partition-local: a monitor group lives
+    /// with its prefix).
+    pub(crate) bgp_signals: Vec<StalenessSignal>,
+    pub(crate) bgp_revokes: Vec<RevokeEvent>,
+    /// Trace-monitor signals and revocations (empty off the trace home).
+    pub(crate) trace: Forwarded,
+    /// IXP joins whose signals are still to be computed over the corpus.
+    pub(crate) joins: Vec<IxpJoin>,
 }
 
 /// The staleness detection pipeline.
@@ -268,16 +303,52 @@ impl StalenessDetector {
     /// monitors. Returns `None` when the traceroute is disqualified
     /// (AS-mapping loop / empty path).
     pub fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId> {
+        let id = self.insert_owned(tr, src_asn)?;
+        let entry = self.corpus.get(id)?;
+        let keys = self.trace.register(entry, &self.map, &self.topo, &mut self.geo, &self.alias);
+        self.add_potential(id, keys);
+        Some(id)
+    }
+
+    /// The owner's half of [`StalenessDetector::add_corpus`]: inserts the
+    /// entry and registers its BGP monitors (partition-local state). The
+    /// traceroute-derived monitors live with the deployment's trace home,
+    /// whose [`StalenessDetector::register_trace`] keys the owner appends
+    /// with [`StalenessDetector::add_potential`].
+    pub(crate) fn insert_owned(
+        &mut self,
+        tr: Traceroute,
+        src_asn: Option<Asn>,
+    ) -> Option<TracerouteId> {
         let entry = self.corpus.insert(tr, &self.map, src_asn)?;
         let id = entry.id;
-        let mut keys = Vec::new();
-        if let Some(dst_prefix) = entry.dst_prefix {
-            keys.extend(self.bgp.register(id, dst_prefix, &entry.as_path, &self.vps));
-        }
-        keys.extend(self.trace.register(entry, &self.map, &self.topo, &mut self.geo, &self.alias));
+        let keys = match entry.dst_prefix {
+            Some(dst_prefix) => self.bgp.register(id, dst_prefix, &entry.as_path, &self.vps),
+            None => Vec::new(),
+        };
         entry.monitors = keys.len();
         self.potential.insert(id, keys);
         Some(id)
+    }
+
+    /// Registers the traceroute-derived monitors (subpath, border) of a
+    /// corpus entry, which may be owned by another partition. Returns the
+    /// keys now watching it.
+    pub(crate) fn register_trace(
+        &mut self,
+        entry: &crate::corpus::CorpusEntry,
+    ) -> Vec<Arc<SignalKey>> {
+        self.trace.register(entry, &self.map, &self.topo, &mut self.geo, &self.alias)
+    }
+
+    /// Appends monitor keys to an owned entry's potential signals.
+    pub(crate) fn add_potential(&mut self, id: TracerouteId, keys: Vec<Arc<SignalKey>>) {
+        let Some(potential) = self.potential.get_mut(&id) else { return };
+        potential.extend(keys);
+        let monitors = potential.len();
+        if let Some(entry) = self.corpus.get_mut(id) {
+            entry.monitors = monitors;
+        }
     }
 
     /// Removes a traceroute from the corpus and all monitors. Runs in
@@ -291,22 +362,12 @@ impl StalenessDetector {
         self.corpus.remove(id);
     }
 
-    /// Registers traceroute-derived monitors (subpath/border/IXP bootstrap)
-    /// for a corpus entry *owned by another partition*, without inserting it
-    /// into this detector's corpus. A partitioned deployment broadcasts
-    /// these monitors to every partition so each one's trace/IXP state is
-    /// identical to a single instance's — their series advance on the
-    /// shared public-traceroute stream, which every partition consumes in
-    /// full. Assertions stay owner-only: `step` skips signal traceroutes
-    /// outside the local corpus.
-    pub(crate) fn register_trace_foreign(&mut self, entry: &crate::corpus::CorpusEntry) {
-        self.trace.register(entry, &self.map, &self.topo, &mut self.geo, &self.alias);
-    }
-
-    /// Drops the foreign monitor membership added by
-    /// [`StalenessDetector::register_trace_foreign`].
-    pub(crate) fn unregister_trace_foreign(&mut self, id: TracerouteId) {
-        self.trace.unregister(id);
+    /// Empties the traceroute-derived state (trace monitors, IXP
+    /// membership): a partition that is not its deployment's trace home
+    /// holds none — the home runs those monitors once for every partition.
+    pub(crate) fn drop_trace_state(&mut self) {
+        self.trace = TraceMonitors::new_with(self.cfg.trace_detector, self.cfg.absorb_outliers);
+        self.ixp = IxpMonitor::default();
     }
 
     /// Validates the cross-structure invariants tying the corpus, the
@@ -372,8 +433,26 @@ impl StalenessDetector {
         bgp_updates: &[BgpUpdate],
         public: &[Traceroute],
     ) -> Vec<StalenessSignal> {
-        let mut signals = Vec::new();
-        let mut revokes: Vec<RevokeEvent> = Vec::new();
+        let mut observed = self.observe_step(now, bgp_updates, public);
+        let mut own = std::mem::take(&mut observed.trace);
+        for join in &observed.joins {
+            own.signals.extend(join.signals(&[&self.corpus], &self.topo));
+        }
+        self.apply_step(observed.bgp_signals, &observed.bgp_revokes, &own)
+    }
+
+    /// The observing half of a step: feeds the BGP stream window by window
+    /// and the public traceroutes into their monitors, and returns what
+    /// fired — without applying any assertion. IXP joins come back as
+    /// [`IxpJoin`]s: their signals read the corpus, which in a partitioned
+    /// deployment spans every partition.
+    pub(crate) fn observe_step(
+        &mut self,
+        now: Timestamp,
+        bgp_updates: &[BgpUpdate],
+        public: &[Traceroute],
+    ) -> Observed {
+        let mut out = Observed::default();
         self.obs.steps.inc();
         self.obs.bgp_updates.add(bgp_updates.len() as u64);
         self.obs.public_traces.add(public.len() as u64);
@@ -386,7 +465,7 @@ impl StalenessDetector {
         while i < bgp_updates.len() {
             let w = self.cfg.bgp_window.window_of(bgp_updates[i].time);
             while self.next_bgp_window < w {
-                self.close_bgp_window(&mut signals, &mut revokes);
+                self.close_bgp_window(&mut out);
             }
             let mut j = i + 1;
             while j < bgp_updates.len() && self.cfg.bgp_window.window_of(bgp_updates[j].time) == w {
@@ -397,7 +476,7 @@ impl StalenessDetector {
             i = j;
         }
         while self.cfg.bgp_window.bounds(self.next_bgp_window).1 <= now {
-            self.close_bgp_window(&mut signals, &mut revokes);
+            self.close_bgp_window(&mut out);
         }
 
         // --- public traceroutes ---
@@ -406,36 +485,38 @@ impl StalenessDetector {
                 self.trace.observe_trace(tr, &self.map, &self.topo, &mut self.geo, &self.alias);
             }
             if self.enabled(Technique::IxpColocation) {
-                let joins = self.ixp.observe_trace(tr, &self.map);
-                for (asn, ixp) in joins {
-                    let w = self.cfg.bgp_window.window_of(tr.time);
-                    signals.extend(self.ixp.signals_for_join(
-                        asn,
-                        ixp,
-                        &self.corpus,
-                        &self.topo,
-                        tr.time,
-                        w,
-                    ));
+                let w = self.cfg.bgp_window.window_of(tr.time);
+                for (asn, ixp) in self.ixp.observe_trace(tr, &self.map) {
+                    out.joins.push(self.ixp.join(asn, ixp, tr.time, w));
                 }
             }
         }
-        let (tsigs, trevokes) = self.trace.flush(now);
-        signals.extend(tsigs);
-        revokes.extend(trevokes);
+        let (mut tsigs, trevokes) = self.trace.flush(now);
+        tsigs.retain(|s| self.enabled(s.key.technique));
+        out.trace = Forwarded { signals: tsigs, revokes: trevokes };
+        out
+    }
 
-        // --- filter disabled techniques, apply assertions ---
-        signals.retain(|s| self.enabled(s.key.technique));
+    /// The applying half of a step: this detector's BGP signals and the
+    /// trace-derived batch forwarded to it, in the single instance's order —
+    /// assertions in canonical order, then BGP revocations, then trace
+    /// revocations. Assertions apply only to entries in this corpus.
+    /// Returns (and logs) the applied batch.
+    pub(crate) fn apply_step(
+        &mut self,
+        mut signals: Vec<StalenessSignal>,
+        bgp_revokes: &[RevokeEvent],
+        forwarded: &Forwarded,
+    ) -> Vec<StalenessSignal> {
+        signals.extend(forwarded.signals.iter().cloned());
         // Canonical batch order: makes the emission sequence a pure
         // function of the signal values, so a partitioned detector's merged
         // batches reproduce this exact log (see `partition`).
         crate::signal::canonical_sort(&mut signals);
         for s in &signals {
             for &tr in s.traceroutes.iter() {
-                // Signals may name traceroutes outside this detector's
-                // corpus (a partition broadcasts trace monitors for the
-                // whole corpus but owns only its key range) — assertions
-                // apply only to owned entries.
+                // Trace signals name entries of every partition; each
+                // partition asserts only on the entries it owns.
                 if self.corpus.get(tr).is_none() {
                     continue;
                 }
@@ -446,7 +527,7 @@ impl StalenessDetector {
                 }
             }
         }
-        for r in &revokes {
+        for r in bgp_revokes.iter().chain(&forwarded.revokes) {
             for &tr in r.traceroutes.iter() {
                 let Some(per) = self.active.get_mut(&tr) else { continue };
                 let removed = per.remove(&r.key).is_some();
@@ -465,11 +546,7 @@ impl StalenessDetector {
         signals
     }
 
-    fn close_bgp_window(
-        &mut self,
-        signals: &mut Vec<StalenessSignal>,
-        revokes: &mut Vec<RevokeEvent>,
-    ) {
+    fn close_bgp_window(&mut self, out: &mut Observed) {
         let w = self.next_bgp_window;
         let (_, end) = self.cfg.bgp_window.bounds(w);
         let cal = &self.cal;
@@ -489,8 +566,8 @@ impl StalenessDetector {
             self.obs.monitor_groups.set(self.bgp.group_count() as i64);
         }
         s.retain(|sig| self.enabled(sig.key.technique));
-        signals.extend(s);
-        revokes.extend(r);
+        out.bgp_signals.extend(s);
+        out.bgp_revokes.extend(r);
         self.next_bgp_window = w.next();
         self.cal.roll_window();
         self.obs.calibration_rolls.inc();
@@ -505,11 +582,13 @@ impl StalenessDetector {
         self.obs.plan_refreshes.inc();
         let _span = self.obs.plan_ns.span();
         let corpus = &self.corpus;
+        let (tallies, rng) = self.cal.planner();
         crate::query::plan_refresh_impl(
-            &self.active,
-            &self.potential,
+            &[&self.active],
+            &[&self.potential],
             &|id| corpus.get(id).map(|e| e.traceroute.probe),
-            &mut self.cal,
+            &tallies,
+            rng,
             budget,
         )
     }

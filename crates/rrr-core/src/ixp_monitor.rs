@@ -23,7 +23,9 @@ use rrr_topology::{Relationship, Topology};
 use rrr_types::{Asn, IxpId, Timestamp, Traceroute, TracerouteId, Window};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// The §4.2.3 monitor.
+/// The §4.2.3 monitor. The default value is empty: no IXP, no member
+/// (what a partition that is not the deployment's trace home holds).
+#[derive(Default)]
 pub struct IxpMonitor {
     /// Known members per IXP (by ASN).
     members: HashMap<IxpId, HashSet<Asn>>,
@@ -96,17 +98,41 @@ impl IxpMonitor {
         new
     }
 
-    /// Generates staleness signals for a newly detected member.
-    pub fn signals_for_join(
-        &self,
-        joined: Asn,
-        ixp: IxpId,
-        corpus: &Corpus,
-        topo: &Topology,
-        time: Timestamp,
-        window: Window,
-    ) -> Vec<StalenessSignal> {
-        let Some(members) = self.members.get(&ixp) else { return Vec::new() };
+    /// Captures a newly detected member for signal generation: the IXP's
+    /// member set and the learned private re-routing *as of this join*, so
+    /// the signals can be computed later — after the step, over every
+    /// partition's corpus — exactly as if computed at the join.
+    pub(crate) fn join(&self, joined: Asn, ixp: IxpId, time: Timestamp, window: Window) -> IxpJoin {
+        IxpJoin {
+            joined,
+            ixp,
+            time,
+            window,
+            members: self.members.get(&ixp).cloned(),
+            learned_private: self.learned_private.contains(&joined),
+        }
+    }
+}
+
+/// One detected IXP join, with the membership state its signals read
+/// (see [`IxpMonitor::join`]).
+#[derive(Debug, Clone)]
+pub(crate) struct IxpJoin {
+    joined: Asn,
+    ixp: IxpId,
+    time: Timestamp,
+    window: Window,
+    members: Option<HashSet<Asn>>,
+    learned_private: bool,
+}
+
+impl IxpJoin {
+    /// Generates the join's staleness signals over one or more disjoint
+    /// corpora (the partitions of one deployment): one signal per
+    /// established member `AS_j`, naming every affected traceroute.
+    pub(crate) fn signals(&self, corpora: &[&Corpus], topo: &Topology) -> Vec<StalenessSignal> {
+        let joined = self.joined;
+        let Some(members) = &self.members else { return Vec::new() };
         let Some(joined_idx) = topo.idx_of(joined) else { return Vec::new() };
 
         // Group affected traceroutes per (member AS_j) so each (joined,
@@ -115,40 +141,45 @@ impl IxpMonitor {
         // checkpointed state and must be reproducible).
         let mut per_member: BTreeMap<Asn, Vec<TracerouteId>> = BTreeMap::new();
 
-        let Some(candidates) = corpus.by_asn.get(&joined) else { return Vec::new() };
-        for &id in candidates {
-            let Some(entry) = corpus.get(id) else { continue };
-            let Some(pos_i) = entry.as_path.iter().position(|a| *a == joined) else { continue };
-            let Some(&a_k) = entry.as_path.get(pos_i + 1) else { continue };
-            // Is some established member reached after AS_i?
-            let Some(&a_j) =
-                entry.as_path[pos_i + 1..].iter().find(|a| members.contains(a) && **a != joined)
-            else {
-                continue;
-            };
-            if a_k == a_j {
-                // Already direct; joining the IXP adds nothing to detect.
-                continue;
-            }
-            let Some(k_idx) = topo.idx_of(a_k) else { continue };
-            let signal = match topo.registry.db_rel(joined_idx, k_idx) {
-                // a_k is AS_i's provider: the new peer route is cheaper.
-                Some(Relationship::Provider) => true,
-                Some(Relationship::Peer) => {
-                    // Public peer (both at some common IXP): equal local
-                    // preference, and the direct IXP path is shorter.
-                    // Private peer: only if learned.
-                    let public = topo
-                        .registry
-                        .ixp_members
-                        .iter()
-                        .any(|(_, set)| set.contains(&joined_idx) && set.contains(&k_idx));
-                    public || self.learned_private.contains(&joined)
+        for corpus in corpora {
+            let Some(candidates) = corpus.by_asn.get(&joined) else { continue };
+            for &id in candidates {
+                let Some(entry) = corpus.get(id) else { continue };
+                let Some(pos_i) = entry.as_path.iter().position(|a| *a == joined) else {
+                    continue;
+                };
+                let Some(&a_k) = entry.as_path.get(pos_i + 1) else { continue };
+                // Is some established member reached after AS_i?
+                let Some(&a_j) = entry.as_path[pos_i + 1..]
+                    .iter()
+                    .find(|a| members.contains(a) && **a != joined)
+                else {
+                    continue;
+                };
+                if a_k == a_j {
+                    // Already direct; joining the IXP adds nothing to detect.
+                    continue;
                 }
-                _ => false,
-            };
-            if signal {
-                per_member.entry(a_j).or_default().push(id);
+                let Some(k_idx) = topo.idx_of(a_k) else { continue };
+                let signal = match topo.registry.db_rel(joined_idx, k_idx) {
+                    // a_k is AS_i's provider: the new peer route is cheaper.
+                    Some(Relationship::Provider) => true,
+                    Some(Relationship::Peer) => {
+                        // Public peer (both at some common IXP): equal local
+                        // preference, and the direct IXP path is shorter.
+                        // Private peer: only if learned.
+                        let public = topo
+                            .registry
+                            .ixp_members
+                            .iter()
+                            .any(|(_, set)| set.contains(&joined_idx) && set.contains(&k_idx));
+                        public || self.learned_private
+                    }
+                    _ => false,
+                };
+                if signal {
+                    per_member.entry(a_j).or_default().push(id);
+                }
             }
         }
 
@@ -156,24 +187,21 @@ impl IxpMonitor {
             .into_iter()
             .map(|(member, mut traceroutes)| {
                 // Canonical member order: `by_asn` lists ids in insertion
-                // order, which differs between a single detector and a
-                // partition that saw a different insertion history. Sorting
-                // makes the signal a pure function of corpus membership, so
-                // cross-partition signal union matches a single instance.
+                // order, and the ids come from several corpora. Sorting
+                // makes the signal a pure function of corpus membership.
                 traceroutes.sort_unstable();
-                (member, traceroutes)
-            })
-            .map(|(member, traceroutes)| StalenessSignal {
-                // Join events are rare; no interner needed on this path.
-                key: std::sync::Arc::new(SignalKey {
-                    technique: Technique::IxpColocation,
-                    scope: SignalScope::IxpJoin { joined, member, ixp },
-                }),
-                time,
-                window,
-                score: traceroutes.len() as f64,
-                traceroutes: traceroutes.into(),
-                trigger_communities: Vec::new(),
+                StalenessSignal {
+                    // Join events are rare; no interner needed on this path.
+                    key: std::sync::Arc::new(SignalKey {
+                        technique: Technique::IxpColocation,
+                        scope: SignalScope::IxpJoin { joined, member, ixp: self.ixp },
+                    }),
+                    time: self.time,
+                    window: self.window,
+                    score: traceroutes.len() as f64,
+                    traceroutes: traceroutes.into(),
+                    trigger_communities: Vec::new(),
+                }
             })
             .collect()
     }
@@ -280,7 +308,7 @@ mod tests {
         let joins = mon.observe_trace(&trace(8, &["10.0.0.3", "11.0.0.9", "10.3.0.1"]), &m);
         assert_eq!(joins, vec![(Asn(100), IxpId(0))]);
         let signals =
-            mon.signals_for_join(Asn(100), IxpId(0), &corpus, &topo, Timestamp(50), Window(1));
+            mon.join(Asn(100), IxpId(0), Timestamp(50), Window(1)).signals(&[&corpus], &topo);
         assert_eq!(signals.len(), 1, "{signals:?}");
         assert_eq!(signals[0].traceroutes.to_vec(), vec![id]);
         match &signals[0].key.scope {
@@ -302,12 +330,12 @@ mod tests {
         let mut corpus = Corpus::new();
         corpus.insert(trace(7, &["10.0.0.2", "10.1.0.1", "10.2.0.1"]), &m, None).expect("valid");
         let signals =
-            mon.signals_for_join(Asn(100), IxpId(0), &corpus, &topo, Timestamp(50), Window(1));
+            mon.join(Asn(100), IxpId(0), Timestamp(50), Window(1)).signals(&[&corpus], &topo);
         assert!(signals.is_empty(), "private peer must not signal: {signals:?}");
         // …unless learned from public feeds.
         mon.learn_private_rerouting(Asn(100));
         let signals =
-            mon.signals_for_join(Asn(100), IxpId(0), &corpus, &topo, Timestamp(50), Window(1));
+            mon.join(Asn(100), IxpId(0), Timestamp(50), Window(1)).signals(&[&corpus], &topo);
         assert_eq!(signals.len(), 1);
     }
 
@@ -321,7 +349,7 @@ mod tests {
         let mut corpus = Corpus::new();
         corpus.insert(trace(7, &["10.0.0.2", "10.2.0.1"]), &m, None).expect("valid");
         let signals =
-            mon.signals_for_join(Asn(100), IxpId(0), &corpus, &topo, Timestamp(50), Window(1));
+            mon.join(Asn(100), IxpId(0), Timestamp(50), Window(1)).signals(&[&corpus], &topo);
         assert!(signals.is_empty());
     }
 }

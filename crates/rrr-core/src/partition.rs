@@ -16,45 +16,54 @@
 //!   guarantees an entry and the BGP updates for its destination prefix
 //!   never straddle a partition boundary.
 //!
-//! # Broadcast vs. partition-local state
+//! # The trace home and owned state
 //!
-//! Public traceroutes are broadcast to every partition, and so are the
-//! traceroute-derived monitors of *every* corpus entry (via
-//! `register_trace_foreign`): each partition's `TraceMonitors`/`IxpMonitor`
-//! state is therefore identical to a single instance's, because those
-//! series advance on the shared public stream, not on partition-local
-//! input. Ownership stays exclusive — assertions apply only where the
-//! corpus entry lives, since `step` skips signal traceroutes outside the
-//! local corpus.
+//! Each partition owns its corpus entries, their BGP monitors, RIB slice,
+//! assertions and potential-signal lists. The traceroute-derived monitors
+//! (§4.2: subpath, border, IXP membership) are not keyed by prefix — their
+//! series advance on the public traceroute stream — so they live once per
+//! deployment, in partition 0, the **trace home**:
 //!
-//! Per-step signal batches merge deterministically:
+//! - the home holds the only `TraceMonitors` and `IxpMonitor` and
+//!   registers trace monitors for every corpus entry, in global insertion
+//!   order, so its trace state equals a single instance's; every other
+//!   partition holds empty ones;
+//! - the home alone consumes the public stream; the others step with their
+//!   routed BGP slice only;
+//! - an owner's `potential[id]` holds its BGP keys followed by the trace
+//!   keys the home's registration returned — the single instance's order,
+//!   which the planner sums TNRs in.
 //!
-//! - **BGP signals** are disjoint (a monitor group lives with its prefix)
-//!   and concatenate;
-//! - **trace signals** are identical replicas in every partition (same
-//!   monitors, same input) and are taken from partition 0;
-//! - **IXP signals** are partial (each partition reports its own corpus
-//!   members) and coalesce by (key, time, window) with a sorted traceroute
-//!   union, recomputing the score as the union size — exactly the value a
-//!   single instance emits.
+//! A step runs in two halves. Every partition first *observes* its input
+//! (`StalenessDetector::observe_step`) without applying assertions. The
+//! coordinator then takes the home's output — trace signals, trace
+//! revocations, and IXP joins, whose signals it computes once over every
+//! partition's corpus (`IxpJoin::signals` reads each `corpus.by_asn`) —
+//! and routes each signal and revocation to the partitions owning the
+//! entries it names: the **forwarded batch**. Each partition then
+//! *applies* its BGP batch with its forwarded batch in the single
+//! instance's order: assertions first, in canonical order, then BGP
+//! revocations, then trace revocations.
 //!
-//! The merged batch is then `canonical_sort`ed (`signal` module), the same
-//! order the single-instance `step` applies, so the merged signal log is
+//! The merged step batch is every partition's BGP signals (disjoint: a
+//! monitor group lives with its prefix) plus the home's trace and IXP
+//! signals, `canonical_sort`ed (`signal` module) — the order the
+//! single-instance `step` applies — so the merged signal log is
 //! byte-for-byte the unpartitioned log.
 //!
 //! # Calibration merge and planning
 //!
 //! Refresh verification records calibration tallies in the owner partition
 //! only, so a (probe, key) cell may hold partial tallies in several
-//! partitions (trace keys are shared across entries). The merge —
-//! `Calibrator::absorb` over a clone of partition 0's calibrator — sums
-//! sliding cells recency-aligned and unions the disjoint community
-//! tallies, reproducing the single instance's calibrator exactly (all
+//! partitions (trace keys are shared across entries). Planning reads the
+//! partitions' assertion and potential maps in place and computes each
+//! TPR/TNR by summing the partitions' cells on lookup (`Tallies`), which
+//! is exactly the calibrator `Calibrator::absorb` would materialise (all
 //! partitions roll generation windows in lockstep). Planning draws from a
 //! coordinator-owned RNG seeded like the single instance's calibrator RNG;
 //! partition calibrators never draw, so the coordinator stream *is* the
-//! single-instance stream. `Calibrator::swap_rng` lends it to the merged
-//! calibrator for the duration of one plan.
+//! single-instance stream. Snapshots and canonical bytes still materialise
+//! the merged calibrator, with a copy of the coordinator stream swapped in.
 //!
 //! # Durability
 //!
@@ -63,15 +72,20 @@
 //! under `part-NNN/` — and persists the routing table
 //! (`partition_map.rrr`, fingerprinted against the detector config) and
 //! the coordinator state (`coordinator.rrr`: planning RNG + merged signal
-//! log). A single crashed partition recovers independently via
-//! [`PartitionedDurable::reopen_partition`] while the coordinator and the
-//! surviving partitions keep their in-memory state.
+//! log). The trace state stays inside a partition: the home's WAL logs the
+//! public stream and its checkpoints carry the trace monitors. Every
+//! partition's WAL record also carries the forwarded batch it applied, so
+//! a single crashed partition recovers independently via
+//! [`PartitionedDurable::reopen_partition`] — replaying its own inputs and
+//! forwarded batches — while the coordinator and the surviving partitions
+//! keep their in-memory state.
 
-use crate::calibration::{Calibrator, RefreshPlan};
-use crate::detector::{cfg_fingerprint, DetectorConfig, StalenessDetector};
+use crate::calibration::{Calibrator, RefreshPlan, Tallies};
+use crate::corpus::Corpus;
+use crate::detector::{cfg_fingerprint, DetectorConfig, Forwarded, Observed, StalenessDetector};
 use crate::persist::{DurableConfig, DurableDetector};
 use crate::query::DetectorSnapshot;
-use crate::signal::{SignalKey, StalenessSignal, Technique};
+use crate::signal::StalenessSignal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrr_geo::Geolocator;
@@ -79,8 +93,8 @@ use rrr_ip2as::{AliasResolver, IpToAsMap};
 use rrr_obs::{Counter, Histogram, Metrics};
 use rrr_store::{Decoder, Encoder, Persist, StoreError};
 use rrr_topology::Topology;
-use rrr_types::{Asn, BgpUpdate, Ipv4, Prefix, Timestamp, Traceroute, TracerouteId, Window};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use rrr_types::{Asn, BgpUpdate, Ipv4, Prefix, Timestamp, Traceroute, TracerouteId};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -173,129 +187,248 @@ fn route_updates(map: &PartitionMap, updates: &[BgpUpdate]) -> Vec<Vec<BgpUpdate
     buckets
 }
 
-/// Merges per-partition step batches into the single-instance batch:
-/// concatenate disjoint BGP signals, keep one replica of the broadcast
-/// trace signals, coalesce partial IXP signals, then canonical-sort.
-fn merge_signal_batches(batches: Vec<Vec<StalenessSignal>>) -> Vec<StalenessSignal> {
-    let mut merged = Vec::new();
-    let mut ixp: BTreeMap<(Window, Timestamp, Arc<SignalKey>), BTreeSet<TracerouteId>> =
-        BTreeMap::new();
-    for (k, batch) in batches.into_iter().enumerate() {
-        for s in batch {
-            match s.key.technique {
-                t if t.is_bgp() => merged.push(s),
-                Technique::IxpColocation => {
-                    ixp.entry((s.window, s.time, Arc::clone(&s.key)))
-                        .or_default()
-                        .extend(s.traceroutes.iter().copied());
-                }
-                // Trace monitors are broadcast: every partition holds the
-                // same monitors fed the same public stream, so their
-                // signals are identical replicas — keep partition 0's.
-                _ => {
-                    if k == 0 {
-                        merged.push(s);
-                    }
-                }
+/// The partition holding the deployment's only trace and IXP monitors.
+const HOME: usize = 0;
+
+/// What the coordinator needs of one partition: its detector, and how a
+/// step's observed output and forwarded batch are committed (applied
+/// directly, or logged first by a durable partition).
+trait Partition {
+    fn det(&self) -> &StalenessDetector;
+    fn det_mut(&mut self) -> &mut StalenessDetector;
+    fn commit(
+        &mut self,
+        now: Timestamp,
+        bgp_updates: &[BgpUpdate],
+        public: &[Traceroute],
+        observed: Observed,
+        forwarded: &Forwarded,
+    ) -> Result<Vec<StalenessSignal>, StoreError>;
+}
+
+impl Partition for StalenessDetector {
+    fn det(&self) -> &StalenessDetector {
+        self
+    }
+    fn det_mut(&mut self) -> &mut StalenessDetector {
+        self
+    }
+    fn commit(
+        &mut self,
+        _now: Timestamp,
+        _bgp_updates: &[BgpUpdate],
+        _public: &[Traceroute],
+        observed: Observed,
+        forwarded: &Forwarded,
+    ) -> Result<Vec<StalenessSignal>, StoreError> {
+        Ok(self.apply_step(observed.bgp_signals, &observed.bgp_revokes, forwarded))
+    }
+}
+
+impl Partition for DurableDetector {
+    fn det(&self) -> &StalenessDetector {
+        self.detector()
+    }
+    fn det_mut(&mut self) -> &mut StalenessDetector {
+        self.detector_mut()
+    }
+    fn commit(
+        &mut self,
+        now: Timestamp,
+        bgp_updates: &[BgpUpdate],
+        public: &[Traceroute],
+        observed: Observed,
+        forwarded: &Forwarded,
+    ) -> Result<Vec<StalenessSignal>, StoreError> {
+        self.commit_step(now, bgp_updates, public, observed, forwarded)
+    }
+}
+
+/// The partitions owning the entries a signal or revocation names, each
+/// once, in first-named order.
+fn owners(corpora: &[&Corpus], traceroutes: &[TracerouteId]) -> Vec<usize> {
+    let mut out = Vec::new();
+    for &tr in traceroutes {
+        if let Some(k) = corpora.iter().position(|c| c.get(tr).is_some()) {
+            if !out.contains(&k) {
+                out.push(k);
             }
         }
     }
-    for ((window, time, key), trs) in ixp {
-        let traceroutes: Vec<TracerouteId> = trs.into_iter().collect();
-        merged.push(StalenessSignal {
-            key,
-            time,
-            window,
-            score: traceroutes.len() as f64,
-            traceroutes: traceroutes.into(),
-            trigger_communities: Vec::new(),
-        });
+    out
+}
+
+/// Turns the trace home's observed output into one forwarded batch per
+/// partition — IXP join signals computed once over every partition's
+/// corpus, each signal and revocation routed to the owners of the entries
+/// it names — and returns the batches with the merged step batch.
+fn route_home_output(
+    corpora: &[&Corpus],
+    topo: &Topology,
+    observed: &mut [Observed],
+) -> (Vec<StalenessSignal>, Vec<Forwarded>) {
+    let home = &mut observed[HOME];
+    let mut out = std::mem::take(&mut home.trace);
+    for join in std::mem::take(&mut home.joins) {
+        out.signals.extend(join.signals(corpora, topo));
     }
+    let mut inboxes = vec![Forwarded::default(); corpora.len()];
+    for s in &out.signals {
+        for k in owners(corpora, &s.traceroutes) {
+            inboxes[k].signals.push(s.clone());
+        }
+    }
+    for r in &out.revokes {
+        for k in owners(corpora, &r.traceroutes) {
+            inboxes[k].revokes.push(r.clone());
+        }
+    }
+    let mut merged: Vec<StalenessSignal> =
+        observed.iter().flat_map(|o| o.bgp_signals.iter().cloned()).collect();
+    merged.extend(out.signals);
     crate::signal::canonical_sort(&mut merged);
-    merged
+    (merged, inboxes)
+}
+
+/// One coordinator step: route the BGP updates, observe every partition
+/// (the public stream to the trace home only; on scoped threads when
+/// `parallel`), route the home's output, then commit each partition's BGP
+/// batch with its forwarded batch. Returns the merged batch.
+fn step_parts<P: Partition + Send>(
+    parts: &mut [P],
+    map: &PartitionMap,
+    obs: &PartObs,
+    parallel: bool,
+    now: Timestamp,
+    bgp_updates: &[BgpUpdate],
+    public: &[Traceroute],
+) -> Result<Vec<StalenessSignal>, StoreError> {
+    let _step_span = obs.step_ns.span();
+    let buckets = route_updates(map, bgp_updates);
+    obs.observe_route(&buckets, public.len());
+    let public_of = |k: usize| if k == HOME { public } else { &[] };
+    let mut observed: Vec<Observed> = if parallel && parts.len() > 1 {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = parts
+                .iter_mut()
+                .zip(&buckets)
+                .enumerate()
+                .map(|(k, (p, bucket))| {
+                    let public = public_of(k);
+                    s.spawn(move || p.det_mut().observe_step(now, bucket, public))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("partition worker panicked")).collect()
+        })
+    } else {
+        parts
+            .iter_mut()
+            .zip(&buckets)
+            .enumerate()
+            .map(|(k, (p, bucket))| p.det_mut().observe_step(now, bucket, public_of(k)))
+            .collect()
+    };
+    let merge_span = obs.merge_ns.span();
+    let (merged, inboxes) = {
+        let corpora: Vec<&Corpus> = parts.iter().map(|p| &p.det().corpus).collect();
+        route_home_output(&corpora, &parts[HOME].det().topo, &mut observed)
+    };
+    drop(merge_span);
+    for (k, ((p, o), inbox)) in parts.iter_mut().zip(observed).zip(&inboxes).enumerate() {
+        p.commit(now, &buckets[k], public_of(k), o, inbox)?;
+    }
+    obs.merged_signals.add(merged.len() as u64);
+    Ok(merged)
 }
 
 /// Clone of partition 0's calibrator with every other partition's tallies
 /// absorbed — the single instance's calibrator, up to the RNG (which the
 /// coordinator supplies).
-fn merged_calibrator(parts: &[&StalenessDetector]) -> Calibrator {
-    let mut cal = parts[0].cal.clone();
+fn merged_calibrator<P: Partition>(parts: &[P]) -> Calibrator {
+    let mut cal = parts[0].det().cal.clone();
     for p in &parts[1..] {
-        cal.absorb(&p.cal);
+        cal.absorb(&p.det().cal);
     }
     cal
 }
 
-/// Merged refresh planning: union the partition-local assertion and
-/// potential maps, resolve probes across partitions, and run the shared
-/// planning body under the merged calibrator with the coordinator's RNG
-/// stream swapped in (and the advanced stream taken back out).
-fn merged_plan(parts: &[&StalenessDetector], plan_rng: &mut StdRng, budget: usize) -> RefreshPlan {
+/// [`merged_calibrator`] carrying a copy of the coordinator stream, for
+/// snapshots and canonical bytes (neither advances the live stream).
+fn merged_calibrator_with<P: Partition>(parts: &[P], plan_rng: &StdRng) -> Calibrator {
     let mut cal = merged_calibrator(parts);
-    cal.swap_rng(plan_rng);
-    let mut active = HashMap::new();
-    let mut potential = HashMap::new();
-    for p in parts {
-        for (id, per) in &p.active {
-            active.insert(*id, per.clone());
-        }
-        for (id, keys) in &p.potential {
-            potential.insert(*id, keys.clone());
-        }
-    }
-    let probe_of =
-        |id: TracerouteId| parts.iter().find_map(|p| p.corpus.get(id)).map(|e| e.traceroute.probe);
-    let plan = crate::query::plan_refresh_impl(&active, &potential, &probe_of, &mut cal, budget);
-    cal.swap_rng(plan_rng);
-    plan
+    cal.swap_rng(&mut plan_rng.clone());
+    cal
 }
 
-/// Inserts a corpus traceroute: full registration in the owner partition,
-/// trace-monitor broadcast everywhere else (same global order as the
-/// owner's, so every partition's monitor state stays identical).
-fn add_corpus_impl(
-    parts: &mut [&mut StalenessDetector],
+/// Merged refresh planning over the partitions' state in place: the
+/// partition-local assertion and potential maps are borrowed, probes
+/// resolve across partitions, TPR/TNR sum the partitions' calibration
+/// cells on lookup, and the coordinator's stream is drawn.
+fn merged_plan<P: Partition>(parts: &[P], plan_rng: &mut StdRng, budget: usize) -> RefreshPlan {
+    let dets: Vec<&StalenessDetector> = parts.iter().map(P::det).collect();
+    let active: Vec<_> = dets.iter().map(|p| &p.active).collect();
+    let potential: Vec<_> = dets.iter().map(|p| &p.potential).collect();
+    let cals: Vec<&Calibrator> = dets.iter().map(|p| &p.cal).collect();
+    let probe_of =
+        |id: TracerouteId| dets.iter().find_map(|p| p.corpus.get(id)).map(|e| e.traceroute.probe);
+    crate::query::plan_refresh_impl(
+        &active,
+        &potential,
+        &probe_of,
+        &Tallies::of(&cals),
+        plan_rng,
+        budget,
+    )
+}
+
+/// The partition owning a corpus entry, if any.
+fn owner_index<P: Partition>(parts: &[P], id: TracerouteId) -> Option<usize> {
+    parts.iter().position(|p| p.det().corpus.get(id).is_some())
+}
+
+/// Inserts a corpus traceroute: the owner inserts it and registers its BGP
+/// monitors, the trace home registers its trace monitors, and the owner
+/// appends the home's keys to the entry's potential signals.
+fn add_corpus_impl<P: Partition>(
+    parts: &mut [P],
     map: &PartitionMap,
     tr: Traceroute,
     src_asn: Option<Asn>,
 ) -> Option<TracerouteId> {
-    let owner = owner_of_trace(map, parts[0].map(), &tr);
-    let id = parts[owner].add_corpus(tr, src_asn)?;
-    let entry = parts[owner].corpus.get(id).expect("just inserted").clone();
-    for (k, p) in parts.iter_mut().enumerate() {
-        if k != owner {
-            p.register_trace_foreign(&entry);
-        }
+    let owner = owner_of_trace(map, parts[HOME].det().map(), &tr);
+    let (home, rest) = parts.split_first_mut()?;
+    if owner == HOME {
+        return home.det_mut().add_corpus(tr, src_asn);
     }
+    let owner_det = rest[owner - 1].det_mut();
+    let id = owner_det.insert_owned(tr, src_asn)?;
+    let keys = home.det_mut().register_trace(owner_det.corpus.get(id)?);
+    owner_det.add_potential(id, keys);
     Some(id)
 }
 
-/// Removes a corpus traceroute from its owner and drops the broadcast
-/// monitor membership everywhere else.
-fn remove_corpus_impl(parts: &mut [&mut StalenessDetector], id: TracerouteId) {
-    for p in parts.iter_mut() {
-        if p.corpus.get(id).is_some() {
-            p.remove_corpus(id);
-        } else {
-            p.unregister_trace_foreign(id);
-        }
+/// Removes a corpus traceroute from its owner and the trace home's
+/// monitors.
+fn remove_corpus_impl<P: Partition>(parts: &mut [P], id: TracerouteId) {
+    if let Some(k) = owner_index(parts, id) {
+        parts[k].det_mut().remove_corpus(id);
     }
+    parts[HOME].det_mut().trace.unregister(id);
 }
 
 /// The partitioned `apply_refresh`: verification (and its calibration
 /// records) run in the owner of the old entry; the replacement routes to
 /// wherever the new destination belongs.
-fn apply_refresh_impl(
-    parts: &mut [&mut StalenessDetector],
+fn apply_refresh_impl<P: Partition>(
+    parts: &mut [P],
     map: &PartitionMap,
     old_id: TracerouteId,
     new_tr: Traceroute,
     src_asn: Option<Asn>,
 ) -> (Option<TracerouteId>, bool) {
-    let owner = parts.iter().position(|p| p.corpus.get(old_id).is_some());
-    let any_changed = match owner {
+    let any_changed = match owner_index(parts, old_id) {
         Some(k) => {
-            let changed = parts[k].verify_signals(old_id, &new_tr);
+            let changed = parts[k].det_mut().verify_signals(old_id, &new_tr);
             remove_corpus_impl(parts, old_id);
             changed
         }
@@ -305,8 +438,8 @@ fn apply_refresh_impl(
     (id, any_changed)
 }
 
-/// Asserts a byte-level section is identical in every partition (the
-/// broadcast state) and returns the shared bytes.
+/// Asserts a byte-level section is identical in every partition (state
+/// all partitions advance in lockstep) and returns the shared bytes.
 fn equal_bytes(
     views: &[&StalenessDetector],
     what: &str,
@@ -314,7 +447,7 @@ fn equal_bytes(
 ) -> Result<Vec<u8>, StoreError> {
     let first = f(views[0])?;
     for p in &views[1..] {
-        assert!(f(p)? == first, "broadcast state diverged across partitions: {what}");
+        assert!(f(p)? == first, "lockstep state diverged across partitions: {what}");
     }
     Ok(first)
 }
@@ -325,28 +458,30 @@ fn equal_bytes(
 ///
 /// - parked monitor groups are materialized first, so parking policy
 ///   cannot leak into the bytes;
-/// - broadcast sections (config fingerprint, vantage points, trace and
-///   IXP monitor state, window cursor, close count) are asserted equal
-///   across partitions and written once;
+/// - lockstep sections (config fingerprint, vantage points, window
+///   cursor, close count) are asserted equal across partitions and
+///   written once;
+/// - the trace and IXP monitor sections are the trace home's (partition
+///   0's), the deployment's only copy;
 /// - partition-local sections (corpus entries, monitor groups, RIB and
 ///   open-window slices, potential/active maps) are disjoint by
 ///   construction and merge under a canonical sort;
 /// - the calibrator section carries the caller's merged calibrator bytes
 ///   (coordinator RNG included) and the signal log is the merged log.
-fn canonical_state_bytes(
-    parts: &mut [&mut StalenessDetector],
+fn canonical_state_bytes<P: Partition>(
+    parts: &mut [P],
     cal_bytes: &[u8],
     log: &[StalenessSignal],
 ) -> Result<Vec<u8>, StoreError> {
     for p in parts.iter_mut() {
-        p.bgp.materialize_all();
+        p.det_mut().bgp.materialize_all();
     }
-    let views: Vec<&StalenessDetector> = parts.iter().map(|p| &**p).collect();
+    let views: Vec<&StalenessDetector> = parts.iter().map(P::det).collect();
 
     let mut payload = Vec::new();
     let mut e = Encoder::new(&mut payload);
 
-    // Broadcast sections (asserted identical, written once).
+    // Lockstep sections (asserted identical, written once).
     equal_bytes(&views, "config fingerprint", |p| cfg_fingerprint(&p.cfg))?.store(&mut e)?;
     equal_bytes(&views, "vantage points", |p| rrr_store::to_payload(&p.vps))?.store(&mut e)?;
 
@@ -390,9 +525,9 @@ fn canonical_state_bytes(
     equal_bytes(&views, "close count", |p| rrr_store::to_payload(&p.bgp.closes()))?
         .store(&mut e)?;
 
-    // Broadcast monitor families: byte-identical whole-state sections.
-    equal_bytes(&views, "trace monitors", |p| rrr_store::to_payload(&p.trace))?.store(&mut e)?;
-    equal_bytes(&views, "ixp monitor", |p| rrr_store::to_payload(&p.ixp))?.store(&mut e)?;
+    // The trace home's monitor families.
+    rrr_store::to_payload(&views[HOME].trace)?.store(&mut e)?;
+    rrr_store::to_payload(&views[HOME].ixp)?.store(&mut e)?;
 
     // Merged calibrator (coordinator RNG inside).
     cal_bytes.to_vec().store(&mut e)?;
@@ -430,14 +565,14 @@ fn canonical_state_bytes(
 pub fn canonical_bytes_single(det: &mut StalenessDetector) -> Result<Vec<u8>, StoreError> {
     let cal_bytes = rrr_store::to_payload(&det.cal)?;
     let log = det.log.clone();
-    canonical_state_bytes(&mut [det], &cal_bytes, &log)
+    canonical_state_bytes(std::slice::from_mut(det), &cal_bytes, &log)
 }
 
 /// Coordinator-level metric handles shared by [`PartitionedDetector`] and
 /// [`PartitionedDurable`] (all no-ops by default). Covers the routing and
-/// merge layer: keyed updates routed per partition, broadcast public
-/// traceroutes, and step/merge timings. Per-partition detector metrics are
-/// installed separately with a `part="k"` label.
+/// merge layer: keyed updates routed per partition, public traceroutes
+/// delivered to the trace home, and step/merge timings. Per-partition
+/// detector metrics are installed separately with a `part="k"` label.
 #[derive(Default)]
 struct PartObs {
     steps: Counter,
@@ -445,7 +580,10 @@ struct PartObs {
     /// Keyed-update counters per partition; empty when disabled (callers
     /// zip against it, so absence is a no-op).
     routed: Vec<Counter>,
-    broadcast_public: Counter,
+    /// Public traceroutes delivered to the trace home — each once, so it
+    /// counts the public stream (the name predates the trace home, when
+    /// every partition received the stream).
+    home_public: Counter,
     merged_signals: Counter,
     step_ns: Histogram,
     merge_ns: Histogram,
@@ -459,7 +597,7 @@ impl PartObs {
             routed: (0..n)
                 .map(|k| m.counter(&format!("rrr_partition_routed_updates_total{{part=\"{k}\"}}")))
                 .collect(),
-            broadcast_public: m.counter("rrr_partition_broadcast_public_total"),
+            home_public: m.counter("rrr_partition_broadcast_public_total"),
             merged_signals: m.counter("rrr_partition_merged_signals_total"),
             step_ns: m.histogram("rrr_partition_step_ns"),
             merge_ns: m.histogram("rrr_partition_merge_ns"),
@@ -468,7 +606,7 @@ impl PartObs {
 
     fn observe_route(&self, buckets: &[Vec<BgpUpdate>], public_len: usize) {
         self.steps.inc();
-        self.broadcast_public.add(public_len as u64);
+        self.home_public.add(public_len as u64);
         for (c, b) in self.routed.iter().zip(buckets) {
             c.add(b.len() as u64);
             self.updates.add(b.len() as u64);
@@ -476,13 +614,29 @@ impl PartObs {
     }
 }
 
+/// Checks a set of partitions against the routing map and makes partition
+/// 0 the trace home: every other partition's trace and IXP state is
+/// dropped. Partitions must be fresh, or come from
+/// [`PartitionedDetector::into_parts`].
+fn home_partitions(parts: &mut [StalenessDetector], map: &PartitionMap) {
+    assert!(!parts.is_empty(), "at least one partition");
+    assert_eq!(parts.len(), map.len(), "partition count must match the routing map");
+    let fp = cfg_fingerprint(&parts[HOME].cfg).expect("config fingerprint");
+    for p in &mut parts[1..] {
+        let pfp = cfg_fingerprint(&p.cfg).expect("config fingerprint");
+        assert!(pfp == fp, "partition configurations diverge");
+        p.drop_trace_state();
+    }
+}
+
 /// N cooperating detector partitions behind a single-detector facade.
 ///
 /// Construction requires every partition to be built over the *same*
 /// environment (topology, IP-to-AS map, geolocation, aliases, vantage
-/// points) and configuration; the facade then routes keyed input, fans
-/// out broadcast input, and merges outputs deterministically (see the
-/// module docs for the exact equivalence argument).
+/// points) and configuration; the facade then routes keyed input, feeds
+/// the public stream to the trace home, routes the home's output to the
+/// owners, and merges outputs deterministically (see the module docs for
+/// the exact equivalence argument).
 pub struct PartitionedDetector {
     parts: Vec<StalenessDetector>,
     map: PartitionMap,
@@ -498,17 +652,13 @@ pub struct PartitionedDetector {
 }
 
 impl PartitionedDetector {
-    /// Wraps pre-built partitions. Panics if the partition count does not
-    /// match the map or the configs diverge.
-    pub fn new(parts: Vec<StalenessDetector>, map: PartitionMap) -> Self {
-        assert!(!parts.is_empty(), "at least one partition");
-        assert_eq!(parts.len(), map.len(), "partition count must match the routing map");
-        let fp = cfg_fingerprint(&parts[0].cfg).expect("config fingerprint");
-        for p in &parts[1..] {
-            let pfp = cfg_fingerprint(&p.cfg).expect("config fingerprint");
-            assert!(pfp == fp, "partition configurations diverge");
-        }
-        let plan_rng = StdRng::seed_from_u64(parts[0].cfg.seed);
+    /// Wraps pre-built partitions (fresh, or from
+    /// [`PartitionedDetector::into_parts`]); partition 0 becomes the trace
+    /// home. Panics if the partition count does not match the map or the
+    /// configs diverge.
+    pub fn new(mut parts: Vec<StalenessDetector>, map: PartitionMap) -> Self {
+        home_partitions(&mut parts, &map);
+        let plan_rng = StdRng::seed_from_u64(parts[HOME].cfg.seed);
         PartitionedDetector {
             plan_rng,
             map,
@@ -587,24 +737,21 @@ impl PartitionedDetector {
         }
     }
 
-    /// Broadcasts pre-t0 public traceroutes (IXP membership bootstrap).
+    /// Feeds pre-t0 public traceroutes to the trace home (IXP membership
+    /// bootstrap).
     pub fn bootstrap_public(&mut self, traces: &[Traceroute]) {
-        for p in &mut self.parts {
-            p.bootstrap_public(traces);
-        }
+        self.parts[HOME].bootstrap_public(traces);
     }
 
-    /// Inserts a traceroute into the owning partition's corpus and
-    /// broadcasts its trace monitors to the others.
+    /// Inserts a traceroute into the owning partition's corpus and its
+    /// trace monitors into the trace home.
     pub fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId> {
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        add_corpus_impl(&mut parts, &self.map, tr, src_asn)
+        add_corpus_impl(&mut self.parts, &self.map, tr, src_asn)
     }
 
-    /// Removes a traceroute from its owner and all broadcast monitors.
+    /// Removes a traceroute from its owner and the trace home's monitors.
     pub fn remove_corpus(&mut self, id: TracerouteId) {
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        remove_corpus_impl(&mut parts, id);
+        remove_corpus_impl(&mut self.parts, id);
     }
 
     /// Looks up a corpus entry in whichever partition owns it.
@@ -617,45 +764,34 @@ impl PartitionedDetector {
         self.parts.iter().map(|p| p.corpus.len()).sum()
     }
 
-    /// Advances every partition to `now` — keyed BGP input routed,
-    /// broadcast public input fanned out, per-partition batches merged
-    /// into the single-instance batch.
+    /// Advances every partition to `now` — keyed BGP input routed, the
+    /// public stream to the trace home, the home's output routed to the
+    /// owners — and returns the merged single-instance batch.
     pub fn step(
         &mut self,
         now: Timestamp,
         bgp_updates: &[BgpUpdate],
         public: &[Traceroute],
     ) -> Vec<StalenessSignal> {
-        let _step_span = self.obs.step_ns.span();
-        let buckets = route_updates(&self.map, bgp_updates);
-        self.obs.observe_route(&buckets, public.len());
-        let batches: Vec<Vec<StalenessSignal>> = if self.parallel && self.parts.len() > 1 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .parts
-                    .iter_mut()
-                    .zip(&buckets)
-                    .map(|(p, bucket)| s.spawn(move || p.step(now, bucket, public)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("partition worker panicked")).collect()
-            })
-        } else {
-            self.parts.iter_mut().zip(&buckets).map(|(p, b)| p.step(now, b, public)).collect()
-        };
-        let merge_span = self.obs.merge_ns.span();
-        let merged = merge_signal_batches(batches);
-        drop(merge_span);
-        self.obs.merged_signals.add(merged.len() as u64);
+        let merged = step_parts(
+            &mut self.parts,
+            &self.map,
+            &self.obs,
+            self.parallel,
+            now,
+            bgp_updates,
+            public,
+        )
+        .expect("in-memory partitions commit infallibly");
         self.log.extend(merged.iter().cloned());
         merged
     }
 
-    /// Plans refreshes from the cross-partition merged calibration state,
-    /// drawing the coordinator's random stream — the exact plan (and
+    /// Plans refreshes from the partitions' calibration state read in
+    /// place, drawing the coordinator's random stream — the exact plan (and
     /// stream position) a single instance produces.
     pub fn plan_refresh(&mut self, budget: usize) -> RefreshPlan {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().collect();
-        merged_plan(&refs, &mut self.plan_rng, budget)
+        merged_plan(&self.parts, &mut self.plan_rng, budget)
     }
 
     /// Applies a refresh measurement (verify in the owner, replace
@@ -666,20 +802,17 @@ impl PartitionedDetector {
         new_tr: Traceroute,
         src_asn: Option<Asn>,
     ) -> (Option<TracerouteId>, bool) {
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        apply_refresh_impl(&mut parts, &self.map, old_id, new_tr, src_asn)
+        apply_refresh_impl(&mut self.parts, &self.map, old_id, new_tr, src_asn)
     }
 
     /// An epoch-stamped merged snapshot answering the [`crate::query::Query`]
     /// trait over the whole corpus — entry, index, and assertion unions,
-    /// broadcast monitor stats from partition 0, and the merged calibrator
-    /// under a *copy* of the coordinator RNG (snapshot plans are repeatable
-    /// and never advance the live stream).
+    /// monitor stats from the trace home, and the merged calibrator under
+    /// a *copy* of the coordinator RNG (snapshot plans are repeatable and
+    /// never advance the live stream).
     pub fn snapshot(&self) -> DetectorSnapshot {
         let refs: Vec<&StalenessDetector> = self.parts.iter().collect();
-        let mut cal = merged_calibrator(&refs);
-        let mut rng = self.plan_rng.clone();
-        cal.swap_rng(&mut rng);
+        let cal = merged_calibrator_with(&self.parts, &self.plan_rng);
         crate::query::merged_snapshot(&refs, cal, self.log.len())
     }
 
@@ -712,14 +845,9 @@ impl PartitionedDetector {
     /// to [`canonical_bytes_single`] over an unpartitioned detector that
     /// consumed the same streams.
     pub fn canonical_bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().collect();
-        let mut cal = merged_calibrator(&refs);
-        let mut rng = self.plan_rng.clone();
-        cal.swap_rng(&mut rng);
-        let cal_bytes = rrr_store::to_payload(&cal)?;
-        let log = self.log.clone();
-        let mut parts: Vec<&mut StalenessDetector> = self.parts.iter_mut().collect();
-        canonical_state_bytes(&mut parts, &cal_bytes, &log)
+        let cal_bytes =
+            rrr_store::to_payload(&merged_calibrator_with(&self.parts, &self.plan_rng))?;
+        canonical_state_bytes(&mut self.parts, &cal_bytes, &self.log)
     }
 }
 
@@ -737,7 +865,9 @@ fn part_dir(dir: &Path, k: usize) -> PathBuf {
 /// A [`PartitionedDetector`] where every partition runs inside its own
 /// [`DurableDetector`] — private WAL and full/delta checkpoint chain under
 /// `part-NNN/` — so one partition can crash and recover by replay while
-/// the rest keep running.
+/// the rest keep running. Each WAL record carries the partition's routed
+/// inputs (the public stream only in the trace home's) and the forwarded
+/// batch it applied.
 ///
 /// Coordinator state (planning RNG, merged log) persists in
 /// `coordinator.rrr`, written at creation, after every plan, and on
@@ -758,21 +888,20 @@ pub struct PartitionedDurable {
 }
 
 impl PartitionedDurable {
-    /// Wraps freshly built partitions, cutting each one's initial
-    /// checkpoint under `dir/part-NNN/` and persisting the routing table
-    /// and coordinator state.
+    /// Wraps freshly built partitions (partition 0 becomes the trace
+    /// home), cutting each one's initial checkpoint under `dir/part-NNN/`
+    /// and persisting the routing table and coordinator state.
     pub fn create(
-        parts: Vec<StalenessDetector>,
+        mut parts: Vec<StalenessDetector>,
         map: PartitionMap,
         dir: impl Into<PathBuf>,
         dur_cfg: DurableConfig,
     ) -> Result<Self, StoreError> {
-        assert!(!parts.is_empty(), "at least one partition");
-        assert_eq!(parts.len(), map.len(), "partition count must match the routing map");
+        home_partitions(&mut parts, &map);
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let fp = cfg_fingerprint(&parts[0].cfg)?;
-        let seed = parts[0].cfg.seed;
+        let fp = cfg_fingerprint(&parts[HOME].cfg)?;
+        let seed = parts[HOME].cfg.seed;
         std::fs::write(dir.join(PARTITION_MAP_FILE), rrr_store::to_payload(&(map.clone(), fp))?)?;
         let mut durable_parts = Vec::with_capacity(parts.len());
         for (k, det) in parts.into_iter().enumerate() {
@@ -846,10 +975,10 @@ impl PartitionedDurable {
     }
 
     /// Recovers a single crashed partition from its own files — delta
-    /// chain plus WAL replay — while the coordinator and every other
-    /// partition keep their live state. This is the mid-window
-    /// single-partition crash path the partition-invariance oracle
-    /// exercises.
+    /// chain plus WAL replay, forwarded batches included — while the
+    /// coordinator and every other partition keep their live state. This
+    /// is the mid-window single-partition crash path the
+    /// partition-invariance oracle exercises.
     pub fn reopen_partition(
         &mut self,
         k: usize,
@@ -896,7 +1025,7 @@ impl PartitionedDurable {
 
     /// The partition owning a corpus entry, if any.
     pub fn owner_of(&self, id: TracerouteId) -> Option<usize> {
-        self.parts.iter().position(|p| p.detector().corpus.get(id).is_some())
+        owner_index(&self.parts, id)
     }
 
     /// The merged signal log (coordinator state; survives restarts).
@@ -918,10 +1047,6 @@ impl PartitionedDurable {
         Ok(total)
     }
 
-    fn dets_mut(&mut self) -> Vec<&mut StalenessDetector> {
-        self.parts.iter_mut().map(|p| p.detector_mut()).collect()
-    }
-
     /// Persists the coordinator state (planning RNG + merged log).
     fn sync_coordinator(&self) -> Result<(), StoreError> {
         let payload = rrr_store::to_payload(&(self.plan_rng.state(), self.log.clone()))?;
@@ -940,49 +1065,36 @@ impl PartitionedDurable {
         }
     }
 
-    /// Broadcasts pre-t0 public traceroutes. Not WAL-logged; see
-    /// [`PartitionedDurable::init_rib`].
+    /// Feeds pre-t0 public traceroutes to the trace home. Not WAL-logged;
+    /// see [`PartitionedDurable::init_rib`].
     pub fn bootstrap_public(&mut self, traces: &[Traceroute]) {
-        for p in &mut self.parts {
-            p.detector_mut().bootstrap_public(traces);
-        }
+        self.parts[HOME].detector_mut().bootstrap_public(traces);
     }
 
-    /// Inserts a corpus traceroute (owner + broadcast registration). Not
+    /// Inserts a corpus traceroute (owner + trace-home registration). Not
     /// WAL-logged; cut checkpoints after corpus maintenance.
     pub fn add_corpus(&mut self, tr: Traceroute, src_asn: Option<Asn>) -> Option<TracerouteId> {
-        let map = self.map.clone();
-        let mut parts = self.dets_mut();
-        add_corpus_impl(&mut parts, &map, tr, src_asn)
+        add_corpus_impl(&mut self.parts, &self.map, tr, src_asn)
     }
 
     /// Removes a corpus traceroute everywhere. Not WAL-logged; cut
     /// checkpoints after corpus maintenance.
     pub fn remove_corpus(&mut self, id: TracerouteId) {
-        let mut parts = self.dets_mut();
-        remove_corpus_impl(&mut parts, id);
+        remove_corpus_impl(&mut self.parts, id);
     }
 
-    /// Advances every partition (each WAL-logs its routed slice before
-    /// processing and cuts its own checkpoints on the window cadence,
-    /// which all partitions share) and merges the batches.
+    /// Advances every partition (each WAL-logs its routed inputs and
+    /// forwarded batch before applying them, and cuts its own checkpoints
+    /// on the window cadence, which all partitions share) and merges the
+    /// batches.
     pub fn step(
         &mut self,
         now: Timestamp,
         bgp_updates: &[BgpUpdate],
         public: &[Traceroute],
     ) -> Result<Vec<StalenessSignal>, StoreError> {
-        let _step_span = self.obs.step_ns.span();
-        let buckets = route_updates(&self.map, bgp_updates);
-        self.obs.observe_route(&buckets, public.len());
-        let mut batches = Vec::with_capacity(self.parts.len());
-        for (p, bucket) in self.parts.iter_mut().zip(&buckets) {
-            batches.push(p.step(now, bucket, public)?);
-        }
-        let merge_span = self.obs.merge_ns.span();
-        let merged = merge_signal_batches(batches);
-        drop(merge_span);
-        self.obs.merged_signals.add(merged.len() as u64);
+        let merged =
+            step_parts(&mut self.parts, &self.map, &self.obs, false, now, bgp_updates, public)?;
         self.log.extend(merged.iter().cloned());
         Ok(merged)
     }
@@ -990,8 +1102,7 @@ impl PartitionedDurable {
     /// Merged refresh planning (see [`PartitionedDetector::plan_refresh`]);
     /// persists the advanced coordinator stream so a restart continues it.
     pub fn plan_refresh(&mut self, budget: usize) -> Result<RefreshPlan, StoreError> {
-        let refs: Vec<&StalenessDetector> = self.parts.iter().map(|p| p.detector()).collect();
-        let plan = merged_plan(&refs, &mut self.plan_rng, budget);
+        let plan = merged_plan(&self.parts, &mut self.plan_rng, budget);
         self.sync_coordinator()?;
         Ok(plan)
     }
@@ -1004,9 +1115,7 @@ impl PartitionedDurable {
         new_tr: Traceroute,
         src_asn: Option<Asn>,
     ) -> (Option<TracerouteId>, bool) {
-        let map = self.map.clone();
-        let mut parts = self.dets_mut();
-        apply_refresh_impl(&mut parts, &map, old_id, new_tr, src_asn)
+        apply_refresh_impl(&mut self.parts, &self.map, old_id, new_tr, src_asn)
     }
 
     /// Cuts a checkpoint in every partition and persists the coordinator
@@ -1023,26 +1132,16 @@ impl PartitionedDurable {
     /// [`PartitionedDetector::snapshot`]).
     pub fn snapshot(&self) -> DetectorSnapshot {
         let refs: Vec<&StalenessDetector> = self.parts.iter().map(|p| p.detector()).collect();
-        let mut cal = merged_calibrator(&refs);
-        let mut rng = self.plan_rng.clone();
-        cal.swap_rng(&mut rng);
+        let cal = merged_calibrator_with(&self.parts, &self.plan_rng);
         crate::query::merged_snapshot(&refs, cal, self.log.len())
     }
 
     /// Canonical semantic state bytes (see
     /// [`PartitionedDetector::canonical_bytes`]).
     pub fn canonical_bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let cal_bytes = {
-            let refs: Vec<&StalenessDetector> = self.parts.iter().map(|p| p.detector()).collect();
-            let mut cal = merged_calibrator(&refs);
-            let mut rng = self.plan_rng.clone();
-            cal.swap_rng(&mut rng);
-            rrr_store::to_payload(&cal)?
-        };
-        let log = self.log.clone();
-        let mut parts: Vec<&mut StalenessDetector> =
-            self.parts.iter_mut().map(|p| p.detector_mut()).collect();
-        canonical_state_bytes(&mut parts, &cal_bytes, &log)
+        let cal_bytes =
+            rrr_store::to_payload(&merged_calibrator_with(&self.parts, &self.plan_rng))?;
+        canonical_state_bytes(&mut self.parts, &cal_bytes, &self.log)
     }
 }
 

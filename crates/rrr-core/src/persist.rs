@@ -17,13 +17,19 @@
 //! in-memory state bit for bit — including the signal log, calibration
 //! counters, and the calibrator's RNG stream.
 //!
+//! A partition of a [`crate::partition::PartitionedDurable`] logs each
+//! step after observing it and before applying it: its record also
+//! carries the *forwarded batch* — the trace and IXP signals and trace
+//! revocations the coordinator routed to it from the trace home — and
+//! replay applies that logged batch instead of recomputing one.
+//!
 //! Crash consistency: snapshot writes go through a temp file + atomic
 //! rename, and the WAL's first record is a *chain tag* naming the snapshot
 //! chain position it extends. A crash between a snapshot rename and the
 //! WAL/delta cleanup leaves stale files behind; recovery detects them by
 //! tag/base mismatch and discards them instead of double-applying.
 
-use crate::detector::{DetectorConfig, StalenessDetector};
+use crate::detector::{DetectorConfig, Forwarded, Observed, StalenessDetector};
 use crate::signal::StalenessSignal;
 use rrr_geo::Geolocator;
 use rrr_ip2as::{AliasResolver, IpToAsMap};
@@ -96,6 +102,38 @@ impl Persist for StepRecord {
     }
 }
 
+/// Encodes one WAL record: the step inputs (laid out as a [`StepRecord`]),
+/// then the forwarded batch the step applied — `None` for a self-contained
+/// step, which recomputes its trace-derived output on replay; for a
+/// partition, the batch the coordinator routed to it (see `partition`),
+/// which replay applies as logged.
+fn wal_record(
+    now: Timestamp,
+    bgp_updates: &[BgpUpdate],
+    public: &[Traceroute],
+    forwarded: Option<&Forwarded>,
+) -> Result<Vec<u8>, StoreError> {
+    let mut buf = Vec::new();
+    let mut e = Encoder::new(&mut buf);
+    now.store(&mut e)?;
+    e.len(bgp_updates.len())?;
+    for u in bgp_updates {
+        u.store(&mut e)?;
+    }
+    e.len(public.len())?;
+    for tr in public {
+        tr.store(&mut e)?;
+    }
+    match forwarded {
+        None => e.u8(0)?,
+        Some(f) => {
+            e.u8(1)?;
+            f.store(&mut e)?;
+        }
+    }
+    Ok(buf)
+}
+
 /// Checkpoint policy for [`DurableDetector`].
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
@@ -140,6 +178,7 @@ struct DurableObs {
     ckpt_delta_ns: Histogram,
     compactions: Counter,
     replayed: Counter,
+    replayed_forwarded: Counter,
     deltas_applied: Counter,
     bytes_on_disk: Gauge,
 }
@@ -163,6 +202,8 @@ impl DurableObs {
             ckpt_delta_ns: m.histogram(&labeled("rrr_store_checkpoint_delta_ns", labels)),
             compactions: m.counter(&labeled("rrr_store_compactions_total", labels)),
             replayed: m.counter(&labeled("rrr_store_restore_replayed_records_total", labels)),
+            replayed_forwarded: m
+                .counter(&labeled("rrr_store_restore_replayed_forwarded_signals_total", labels)),
             deltas_applied: m.counter(&labeled("rrr_store_restore_deltas_applied_total", labels)),
             bytes_on_disk: m.gauge(&labeled("rrr_store_bytes_on_disk", labels)),
         }
@@ -187,6 +228,7 @@ pub struct DurableDetector {
     /// Recovery work done by `open`, credited to the restore counters when
     /// metrics are installed (instrumentation arrives after `open` returns).
     restore_replayed: u64,
+    restore_forwarded: u64,
     restore_deltas: u64,
     obs: DurableObs,
 }
@@ -211,6 +253,7 @@ impl DurableDetector {
             full_bytes: 0,
             wal_records: 0,
             restore_replayed: 0,
+            restore_forwarded: 0,
             restore_deltas: 0,
             obs: DurableObs::default(),
         };
@@ -271,13 +314,27 @@ impl DurableDetector {
         let mut reader = WalReader::open(dir.join(WAL_FILE))?;
         let mut tagged = false;
         let mut restore_replayed = 0u64;
+        let mut restore_forwarded = 0u64;
         if let Some(payload) = reader.next_record()? {
             let tag: (u32, u32) = rrr_store::from_payload(&payload)?;
             if tag == det.delta_chain() {
                 tagged = true;
                 while let Some(payload) = reader.next_record()? {
-                    let rec: StepRecord = rrr_store::from_payload(&payload)?;
-                    let _ = det.step(rec.now, &rec.bgp_updates, &rec.public);
+                    let (rec, forwarded): (StepRecord, Option<Forwarded>) =
+                        rrr_store::from_payload(&payload)?;
+                    match forwarded {
+                        None => {
+                            let _ = det.step(rec.now, &rec.bgp_updates, &rec.public);
+                        }
+                        // A partition step: the logged batch is what the
+                        // coordinator routed; the trace output recomputed
+                        // from the public stream (trace home only) is not.
+                        Some(forwarded) => {
+                            let o = det.observe_step(rec.now, &rec.bgp_updates, &rec.public);
+                            let _ = det.apply_step(o.bgp_signals, &o.bgp_revokes, &forwarded);
+                            restore_forwarded += forwarded.signals.len() as u64;
+                        }
+                    }
                     restore_replayed += 1;
                 }
             }
@@ -303,6 +360,7 @@ impl DurableDetector {
             full_bytes,
             wal_records: if tagged { restore_replayed } else { 0 },
             restore_replayed,
+            restore_forwarded,
             restore_deltas,
             obs: DurableObs::default(),
         })
@@ -323,8 +381,10 @@ impl DurableDetector {
         self.obs = DurableObs::new(metrics, labels);
         self.wal.set_obs(self.obs.wal_obs.clone());
         self.obs.replayed.add(self.restore_replayed);
+        self.obs.replayed_forwarded.add(self.restore_forwarded);
         self.obs.deltas_applied.add(self.restore_deltas);
         self.restore_replayed = 0;
+        self.restore_forwarded = 0;
         self.restore_deltas = 0;
         self.obs.wal_len.set(self.wal_records as i64);
         let _ = self.update_disk_gauge();
@@ -355,18 +415,47 @@ impl DurableDetector {
         bgp_updates: &[BgpUpdate],
         public: &[Traceroute],
     ) -> Result<Vec<StalenessSignal>, StoreError> {
-        let rec = StepRecord { now, bgp_updates: bgp_updates.to_vec(), public: public.to_vec() };
-        self.wal.append(&rrr_store::to_payload(&rec)?)?;
+        self.append(&wal_record(now, bgp_updates, public, None)?)?;
+        let signals = self.det.step(now, bgp_updates, public);
+        self.after_step()?;
+        Ok(signals)
+    }
+
+    /// The committing half of a partition step whose observing half
+    /// ([`StalenessDetector::observe_step`]) already ran: logs the inputs
+    /// together with the forwarded batch, then applies both. The observed
+    /// state is ahead of the log until the append succeeds, so after an
+    /// error the partition must be reopened from its files.
+    pub(crate) fn commit_step(
+        &mut self,
+        now: Timestamp,
+        bgp_updates: &[BgpUpdate],
+        public: &[Traceroute],
+        observed: Observed,
+        forwarded: &Forwarded,
+    ) -> Result<Vec<StalenessSignal>, StoreError> {
+        self.append(&wal_record(now, bgp_updates, public, Some(forwarded))?)?;
+        let signals = self.det.apply_step(observed.bgp_signals, &observed.bgp_revokes, forwarded);
+        self.after_step()?;
+        Ok(signals)
+    }
+
+    fn append(&mut self, record: &[u8]) -> Result<(), StoreError> {
+        self.wal.append(record)?;
         self.wal_records += 1;
         self.obs.step_records.inc();
         self.obs.wal_len.set(self.wal_records as i64);
-        let signals = self.det.step(now, bgp_updates, public);
+        Ok(())
+    }
+
+    /// Cuts a snapshot when the window policy says so.
+    fn after_step(&mut self) -> Result<(), StoreError> {
         if self.det.closed_bgp_windows() - self.windows_at_checkpoint
             >= self.cfg.checkpoint_every_windows
         {
             self.cut_checkpoint()?;
         }
-        Ok(signals)
+        Ok(())
     }
 
     /// Cuts a snapshot (atomically, via rename) and truncates the WAL —

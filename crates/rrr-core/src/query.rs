@@ -17,10 +17,11 @@
 //! the same snapshot always returns the same [`RefreshPlan`] and never
 //! perturbs the live random stream.
 
-use crate::calibration::{AssertingSignal, Calibrator, RefreshPlan};
+use crate::calibration::{AssertingSignal, Calibrator, RefreshPlan, Tallies};
 use crate::corpus::Freshness;
 use crate::detector::StalenessDetector;
 use crate::signal::{SignalKey, StalenessSignal};
+use rand::rngs::StdRng;
 use rrr_types::{Asn, Community, Ipv4, Prefix, ProbeId, Timestamp, TracerouteId, Window};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -300,8 +301,8 @@ impl StalenessDetector {
 /// [`crate::partition::PartitionedDetector::snapshot`]: the entry map,
 /// prefix/ASN indexes, and assertion maps union across partitions (all
 /// disjoint — an entry and its index keys live only in its owner), while
-/// the monitor stats come from partition 0 (trace monitors are broadcast,
-/// so every partition's inventory equals the single instance's). The
+/// the monitor stats come from partition 0 (the trace home, whose
+/// inventory equals the single instance's). The
 /// caller supplies the merged calibrator, already carrying a copy of the
 /// coordinator RNG so [`Query::plan`] reproduces the coordinator's plan.
 pub(crate) fn merged_snapshot(
@@ -411,12 +412,12 @@ impl Query for DetectorSnapshot {
     }
 
     fn plan(&self, budget: usize) -> RefreshPlan {
-        let mut cal = self.cal.clone();
         plan_refresh_impl(
-            &self.active,
-            &self.potential,
+            &[&self.active],
+            &[&self.potential],
             &|id| self.entries.get(&id).map(|e| e.probe),
-            &mut cal,
+            &Tallies::of(&[&self.cal]),
+            &mut self.cal.rng_copy(),
             budget,
         )
     }
@@ -457,12 +458,12 @@ impl Query for StalenessDetector {
 
     fn plan(&self, budget: usize) -> RefreshPlan {
         let corpus = self.corpus();
-        let mut cal = self.cal.clone();
         plan_refresh_impl(
-            &self.active,
-            &self.potential,
+            &[&self.active],
+            &[&self.potential],
             &|id| corpus.get(id).map(|e| e.traceroute.probe),
-            &mut cal,
+            &Tallies::of(&[&self.cal]),
+            &mut self.cal.rng_copy(),
             budget,
         )
     }
@@ -472,21 +473,30 @@ impl Query for StalenessDetector {
     }
 }
 
+/// Active staleness assertions per corpus traceroute (signal → trigger
+/// communities), as held by a detector, a partition, or a snapshot.
+type ActiveMap = HashMap<TracerouteId, HashMap<Arc<SignalKey>, Vec<Community>>>;
+
 /// The shared refresh-planning body behind both the mutating
 /// [`StalenessDetector::plan_refresh`] and the read-only [`Query::plan`]:
 /// groups active assertions back into per-(probe, key) signals, collects
 /// the quiet potential signals, and hands both to the calibrator.
+///
+/// The assertion and potential maps come as one slice entry per partition
+/// (disjoint by traceroute), borrowed in place: a partitioned deployment
+/// plans over its partitions' maps without merging them first.
 pub(crate) fn plan_refresh_impl(
-    active: &HashMap<TracerouteId, HashMap<Arc<SignalKey>, Vec<Community>>>,
-    potential: &HashMap<TracerouteId, Vec<Arc<SignalKey>>>,
+    active: &[&ActiveMap],
+    potential: &[&HashMap<TracerouteId, Vec<Arc<SignalKey>>>],
     probe_of: &dyn Fn(TracerouteId) -> Option<ProbeId>,
-    cal: &mut Calibrator,
+    tallies: &Tallies,
+    rng: &mut StdRng,
     budget: usize,
 ) -> RefreshPlan {
     // Group active assertions back into per-key signals (ordered for
     // deterministic planning). Only `Arc` handles move around here.
     let mut by_key: BTreeMap<Arc<SignalKey>, Vec<TracerouteId>> = BTreeMap::new();
-    for (tr, per) in active {
+    for (tr, per) in active.iter().flat_map(|m| m.iter()) {
         for key in per.keys() {
             by_key.entry(Arc::clone(key)).or_default().push(*tr);
         }
@@ -524,7 +534,7 @@ pub(crate) fn plan_refresh_impl(
     }
     // Quiet potential signals per probe (ordered iteration).
     let mut quiet: HashMap<ProbeId, Vec<Arc<SignalKey>>> = HashMap::new();
-    let mut potential_sorted: Vec<_> = potential.iter().collect();
+    let mut potential_sorted: Vec<_> = potential.iter().flat_map(|m| m.iter()).collect();
     potential_sorted.sort_by_key(|(id, _)| **id);
     for (id, keys) in potential_sorted {
         let Some(probe) = probe_of(*id) else { continue };
@@ -535,5 +545,5 @@ pub(crate) fn plan_refresh_impl(
             }
         }
     }
-    cal.plan_refresh(budget, &asserting, &quiet)
+    tallies.plan_refresh(rng, budget, &asserting, &quiet)
 }

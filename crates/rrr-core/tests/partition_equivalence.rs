@@ -608,3 +608,165 @@ fn corpus_spreads_across_partitions() {
         );
     }
 }
+
+/// Ownership: partition 0 is the trace home — the only partition holding
+/// subpath and border monitors — and it alone consumes the public stream,
+/// so the per-partition public-trace counters sum to the stream length
+/// once, not N times.
+#[test]
+fn trace_monitors_and_public_stream_live_in_the_home_only() {
+    use rrr_core::query::Query;
+    use rrr_core::Metrics;
+
+    let rounds = firing_rounds();
+    let stream_len: u64 = rounds.iter().map(|r| r.traces.len() as u64).sum();
+    assert!(stream_len > 0, "the workload must carry public traces");
+    let single = build_single().monitor_stats();
+    assert!(single.subpaths.total + single.borders.total > 0, "the corpus must register monitors");
+
+    for n in [2usize, 4, 8] {
+        let mut parted = build_partitioned(n);
+        let metrics = Metrics::enabled();
+        parted.set_metrics(&metrics);
+        let _ = drive_partitioned(&mut parted, &rounds);
+
+        let parts = parted.partitions();
+        assert_eq!(parts[0].monitor_stats().subpaths.total, single.subpaths.total, "N={n}");
+        assert_eq!(parts[0].monitor_stats().borders.total, single.borders.total, "N={n}");
+        for (k, p) in parts.iter().enumerate().skip(1) {
+            let stats = p.monitor_stats();
+            assert_eq!(stats.subpaths.total, 0, "N={n}: partition {k} holds subpath monitors");
+            assert_eq!(stats.borders.total, 0, "N={n}: partition {k} holds border monitors");
+        }
+
+        let snap = metrics.snapshot();
+        let observed: u64 = (0..n)
+            .map(|k| snap.counter(&format!("rrr_detector_public_traces_total{{part=\"{k}\"}}")))
+            .sum();
+        assert_eq!(observed, stream_len, "N={n}: public traces observed across partitions");
+    }
+}
+
+/// Rounds whose public traces fire trace-derived signals: a long quiet
+/// stretch through the corpus's monitored border and subpath, then the
+/// traffic shifts to a different border router (10.1.0.9) for good.
+fn trace_firing_rounds() -> Vec<Round> {
+    (0..24u64)
+        .map(|r| Round {
+            updates: (0..NUM_VPS)
+                .flat_map(|vp| {
+                    (0..NUM_DSTS).map(move |dst| Spec {
+                        round_off: vp as u64 * 31 + dst as u64 * 7,
+                        vp,
+                        dst,
+                        action: 1,
+                        comm_variant: 0,
+                    })
+                })
+                .collect(),
+            traces: (0..8).map(|t| (t * 100 + 5, (t as u32) % NUM_DSTS, r >= 16)).collect(),
+        })
+        .collect()
+}
+
+/// Whether a signal comes from the trace home (trace or IXP monitors).
+fn trace_derived(s: &StalenessSignal) -> bool {
+    !s.key.technique.is_bgp()
+}
+
+/// A durable N-partition run of `rounds` with refresh planning (and a
+/// checkpoint cut after each applied plan, since corpus maintenance is not
+/// WAL-logged). After the first step whose trace-derived signals name an
+/// entry of a partition `pick` accepts, that partition is killed and
+/// reopened from its own files. Returns the merged log, the plans, the
+/// canonical bytes, the crashed partition, and the forwarded signals its
+/// recovery replayed.
+fn durable_crash_run(
+    n: usize,
+    rounds: &[Round],
+    pick: impl Fn(usize) -> bool,
+    tag: &str,
+) -> (Vec<String>, Vec<Vec<TracerouteId>>, Vec<u8>, usize, u64) {
+    use rrr_core::{DurableConfig, Metrics, PartitionedDurable};
+
+    let dir =
+        std::env::temp_dir().join(format!("rrr-partition-crash-{tag}-{n}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DurableConfig { checkpoint_every_windows: u64::MAX, ..DurableConfig::default() };
+    let (parts, map) = build_partitioned(n).into_parts();
+    let mut pd = PartitionedDurable::create(parts, map, &dir, cfg).expect("create");
+    let metrics = Metrics::enabled();
+    pd.set_metrics(&metrics);
+
+    let mut crashed = None;
+    let mut plans = Vec::new();
+    for (k, round) in rounds.iter().enumerate() {
+        let r = k as u64;
+        let (updates, public) = round_inputs(round, r);
+        let batch = pd.step(Timestamp((r + 1) * ROUND), &updates, &public).expect("durable step");
+        if crashed.is_none() {
+            let victim = batch
+                .iter()
+                .filter(|s| trace_derived(s))
+                .flat_map(|s| s.traceroutes.iter())
+                .filter_map(|&id| pd.owner_of(id))
+                .find(|&owner| pick(owner));
+            if let Some(victim) = victim {
+                let (topo, ip2as, geo, alias) = env();
+                pd.reopen_partition(victim, topo, ip2as, geo, alias, config()).expect("reopen");
+                crashed = Some(victim);
+            }
+        }
+        if (k + 1).is_multiple_of(PLAN_EVERY) {
+            let plan = pd.plan_refresh(PLAN_BUDGET).expect("plan");
+            for (j, &old) in plan.refresh.iter().enumerate() {
+                let Some(entry) = pd.corpus_get(old) else { continue };
+                let mut fresh = entry.traceroute.clone();
+                fresh.id = TracerouteId(900_000 + r * 100 + j as u64);
+                fresh.time = Timestamp((r + 1) * ROUND);
+                let _ = pd.apply_refresh(old, fresh, None);
+            }
+            pd.cut_checkpoints().expect("cut checkpoints");
+            plans.push(plan.refresh);
+        }
+    }
+    plans.push(pd.plan_refresh(PLAN_BUDGET).expect("plan").refresh);
+    let victim = crashed.expect("some step must fire a trace-derived signal on a chosen partition");
+    let replayed = metrics.snapshot().counter(&format!(
+        "rrr_store_restore_replayed_forwarded_signals_total{{part=\"{victim}\"}}"
+    ));
+    let log: Vec<String> = pd.signal_log().iter().map(signal_repr).collect();
+    let bytes = pd.canonical_bytes().expect("canonical bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+    (log, plans, bytes, victim, replayed)
+}
+
+/// Crash legs for both kinds of partition: a non-home partition that has
+/// applied trace-derived assertions since its last cut (its recovery
+/// replays the forwarded batches from its own WAL), and the trace home
+/// (whose recovery also replays the public stream into the trace
+/// monitors). Either way the run matches the single instance bit for bit.
+#[test]
+fn crashed_partitions_replay_forwarded_batches() {
+    let rounds = trace_firing_rounds();
+    let mut reference = build_single();
+    let mut ref_plans = drive_single(&mut reference, &rounds);
+    ref_plans.push(reference.plan_refresh(PLAN_BUDGET).refresh);
+    assert!(
+        reference.signal_log().iter().any(trace_derived),
+        "the workload must fire trace-derived signals"
+    );
+    let ref_log: Vec<String> = reference.signal_log().iter().map(signal_repr).collect();
+    let ref_bytes = canonical_bytes_single(&mut reference).expect("reference canonical bytes");
+
+    for n in [2usize, 4, 8] {
+        for (tag, pick) in [("owner", (|k| k != 0) as fn(usize) -> bool), ("home", |k| k == 0)] {
+            let (log, plans, bytes, victim, replayed) = durable_crash_run(n, &rounds, pick, tag);
+            assert!(pick(victim), "N={n} {tag}: crashed partition {victim}");
+            assert!(replayed >= 1, "N={n} {tag}: no forwarded signal replayed by {victim}");
+            assert_eq!(ref_log, log, "N={n} {tag}: merged signal log diverged");
+            assert_eq!(ref_plans, plans, "N={n} {tag}: refresh plans diverged");
+            assert_eq!(ref_bytes, bytes, "N={n} {tag}: canonical state bytes diverged");
+        }
+    }
+}

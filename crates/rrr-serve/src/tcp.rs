@@ -101,8 +101,11 @@ impl Drop for TcpServer {
 
 fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
     // Read with a timeout so the handler notices `stop` even while a
-    // client holds the connection open silently.
+    // client holds the connection open silently. Each response leaves in
+    // one write, and with Nagle off it is not held back waiting for the
+    // client's (delayed) ACK of the previous one.
     let _ = socket.set_read_timeout(Some(POLL));
+    let _ = socket.set_nodelay(true);
     let mut writer = match socket.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -117,12 +120,12 @@ fn serve_conn(socket: TcpStream, handle: ServeHandle, stop: Arc<AtomicBool>) {
                 if line.trim().is_empty() {
                     continue;
                 }
-                let out = match decode_request(line.trim()) {
+                let mut out = match decode_request(line.trim()) {
                     Ok(q) => encode_response(&handle.query(&q)),
                     Err(e) => encode_error(&e),
                 };
-                if writer.write_all(out.as_bytes()).and_then(|()| writer.write_all(b"\n")).is_err()
-                {
+                out.push('\n');
+                if writer.write_all(out.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -178,5 +181,45 @@ mod tests {
         server.shutdown(); // idempotent
         let report = daemon.join().expect("drained");
         assert_eq!(report.rounds, 0);
+    }
+
+    /// Closed-loop round trips must not stall on Nagle's algorithm meeting
+    /// the client's delayed ACK (≈40 ms per round trip when a response
+    /// leaves as two segments): 50 of them finish well within a second.
+    #[test]
+    fn closed_loop_round_trips_do_not_stall() {
+        let topo =
+            std::sync::Arc::new(rrr_topology::generate(&rrr_topology::TopologyConfig::small(3)));
+        let alias = rrr_ip2as::AliasResolver::from_topology(&topo, 1.0, 0);
+        let det = DetectorBuilder::new().seed(7).build(
+            topo,
+            rrr_ip2as::IpToAsMap::new(),
+            rrr_geo::Geolocator::new(rrr_geo::GeoDb::default(), vec![]),
+            alias,
+            vec![],
+        );
+        let daemon = Daemon::spawn(
+            Engine::Plain(det),
+            vec![Box::new(ScriptedFeed::default())],
+            DaemonConfig::default(),
+        );
+        let mut server = TcpServer::bind("127.0.0.1:0", daemon.handle()).expect("bind");
+        let mut client = TcpStream::connect(server.addr()).expect("connect");
+        client.set_nodelay(true).expect("nodelay");
+        let mut lines = BufReader::new(client.try_clone().expect("clone")).lines();
+
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            client.write_all(b"{\"query\":\"corpus_summary\"}\n").expect("send");
+            let line = lines.next().expect("line").expect("read");
+            assert!(line.contains("corpus_summary"), "{line}");
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "50 round trips took {took:?}");
+
+        drop(lines);
+        drop(client);
+        server.shutdown();
+        daemon.join().expect("drained");
     }
 }

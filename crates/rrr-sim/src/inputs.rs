@@ -398,8 +398,8 @@ impl SimWorld {
     }
 
     /// Pre-t0 public traceroutes [`SimWorld::build`] bootstraps IXP
-    /// membership from (broadcast input — every partition consumes all of
-    /// them).
+    /// membership from (a partitioned build feeds them to its trace
+    /// home).
     pub fn bootstrap_seed(&self) -> Vec<Traceroute> {
         match self {
             SimWorld::Micro { .. } | SimWorld::Weather { .. } => Vec::new(),

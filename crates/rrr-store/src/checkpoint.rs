@@ -31,7 +31,12 @@ pub const MAGIC: [u8; 8] = *b"RRRSTORE";
 /// written through [`write_snapshot`] distinguishes full snapshots from
 /// delta frames. Version-1 files carry no kind byte and are rejected
 /// rather than misread.
-pub const FORMAT_VERSION: u16 = 2;
+///
+/// Version 3 extended the detector's WAL records with the forwarded batch
+/// a partition applied (see `rrr_core::partition`); the WAL carries no
+/// version of its own, so the bump on the checkpoint it extends rejects a
+/// version-2 directory before any of its records is read.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// What a snapshot frame carries: a complete state image, or only the
 /// state changed since the last full snapshot (a delta frame).

@@ -190,6 +190,20 @@ fn future_version_with_consistent_crc_is_unsupported_version() {
     }
 }
 
+/// An intact frame from the previous format version (whose WAL records
+/// lack the forwarded batch) is refused the same typed way.
+#[test]
+fn previous_version_is_unsupported_version() {
+    let buf = frame_with_version(b"older bytes", FORMAT_VERSION - 1);
+    match read_checkpoint(&buf[..]) {
+        Err(StoreError::UnsupportedVersion { found, supported }) => {
+            assert_eq!(found, FORMAT_VERSION - 1);
+            assert_eq!(supported, FORMAT_VERSION);
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
 /// Payload-level decode errors: trailing bytes and structural corruption.
 #[test]
 fn payload_decode_matrix() {
